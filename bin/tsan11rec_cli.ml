@@ -494,8 +494,28 @@ let record_cmd =
       $ common_term [ Strategy; Seed; Env_seed; Fault_p; Fault_seed ]
       $ demo_arg $ guided_flag)
 
+(* Replay and trace-replay share one setup: the strategy comes from
+   the demo's META; an explicit -s must name the same strategy. *)
+let replay_setup w ~demo ~env_seed strategy =
+  let strategy = Option.map strategy_of strategy in
+  match Workloads.replay_setup w ~demo ~env_seed ?strategy () with
+  | Ok setup -> setup
+  | Error msg -> usage "%s" msg
+  | exception Demo.Corrupt c ->
+      let r =
+        Interp.result_of_outcome
+          (Interp.Corrupt_demo (Demo.corruption_to_string c))
+      in
+      report r;
+      exit (exit_of r)
+
+(* -s for commands that replay: unset means "whatever META says". *)
+let optional_strategy_arg doc =
+  Arg.(
+    value & opt (some string) None & info [ "strategy"; "s" ] ~docv:"STRAT" ~doc)
+
 let replay_cmd =
-  let run name co demo salvage =
+  let run name co strategy demo salvage =
     let w = lookup_workload name in
     let demo =
       if not salvage then demo
@@ -520,13 +540,11 @@ let replay_cmd =
                 Fmt.epr "salvaged %d-tick prefix -> %s@." d.Demo.meta.ticks out;
                 out)
     in
-    let conf, world, build =
-      prepare ~w
-        ~conf:(base_conf ~tool:"tsan11rec" ~strategy:co.co_strategy)
-        ~seed:0 ~env_seed:co.co_env_seed ~mode:(Conf.Replay demo) ()
+    let conf, world, program =
+      replay_setup w ~demo ~env_seed:co.co_env_seed strategy
     in
     let conf = Conf.with_on_desync conf co.co_on_desync in
-    let r = Interp.run ~world conf (build ()) in
+    let r = Interp.run ~world conf program in
     report r;
     exit (exit_of r)
   in
@@ -545,7 +563,11 @@ let replay_cmd =
        ~doc:"Replay a recorded demo (checks for desync)")
     Term.(
       const run $ workload_arg
-      $ common_term [ Strategy; Env_seed; On_desync ]
+      $ common_term [ Env_seed; On_desync ]
+      $ optional_strategy_arg
+          "Cross-check only: replay always runs under the strategy \
+           recorded in the demo's META, and a different $(docv) is a usage \
+           error."
       $ demo_arg $ salvage_flag)
 
 (* hunt: the classic blind campaign, or — with --guided — the
@@ -578,20 +600,8 @@ let batch_arg =
     & info [ "batch" ] ~docv:"N"
         ~doc:"With $(b,--guided): candidates bred and run per round.")
 
-let fork_prefixes_flag =
-  Arg.(
-    value & flag
-    & info [ "fork-prefixes" ]
-        ~doc:
-          "With $(b,--guided): fork candidate families that share a seed \
-           pair and a schedule-prefix head from one interpreter snapshot \
-           per domain instead of re-executing the shared head every run. \
-           The report digest is bit-identical either way. Only sound for \
-           workloads whose schedule cannot be steered by environment \
-           timing (the syscall-free litmus suite qualifies).")
-
 let hunt_cmd =
-  let run name co guided corpus batch fork_prefixes =
+  let run name co guided corpus batch =
     install_sigint ();
     let w = lookup_workload name in
     let base =
@@ -628,7 +638,7 @@ let hunt_cmd =
       let rounds = max 1 ((co.co_runs + batch - 1) / batch) in
       let g =
         Guided.hunt spec ~rounds ~batch ~jobs:co.co_jobs ?corpus_dir:corpus
-          ~fork_prefixes ~deadline_s:co.co_deadline
+          ~deadline_s:co.co_deadline
           ?tick_budget:co.co_tick_budget ~cancel ()
       in
       Fmt.pr "%a" Guided.pp g;
@@ -711,7 +721,7 @@ let hunt_cmd =
             Strategy; Runs; Env_seed; Fault_p; Jobs; Deadline; Tick_budget;
             Retries; Journal;
           ]
-      $ guided_flag $ corpus_arg $ batch_arg $ fork_prefixes_flag)
+      $ guided_flag $ corpus_arg $ batch_arg)
 
 let explore_cmd =
   let run name co =
@@ -840,17 +850,23 @@ let icb_cmd =
       $ common_term [ Deadline; Tick_budget ])
 
 let trace_cmd =
-  let run name co demo diff out capacity =
+  let run name co strategy demo diff out capacity =
     let w = lookup_workload name in
     if diff && demo = None then
       usage "--diff needs a recording: pass --demo DIR";
-    let mode =
-      match demo with Some d -> Conf.Replay d | None -> Conf.Free
-    in
-    let conf, world, build =
-      prepare ~w
-        ~conf:(base_conf ~tool:"tsan11rec" ~strategy:co.co_strategy)
-        ~seed:co.co_seed ~env_seed:co.co_env_seed ~mode ()
+    let conf, world, program =
+      match demo with
+      | Some demo -> replay_setup w ~demo ~env_seed:co.co_env_seed strategy
+      | None ->
+          let strategy =
+            strategy_of (Option.value strategy ~default:"random")
+          in
+          let conf, world, build =
+            prepare ~w
+              ~conf:(base_conf ~tool:"tsan11rec" ~strategy)
+              ~seed:co.co_seed ~env_seed:co.co_env_seed ~mode:Conf.Free ()
+          in
+          (conf, world, build ())
     in
     let conf = Conf.with_trace conf ~capacity in
     (* --diff: survive divergences (counting them) so the report covers
@@ -859,7 +875,7 @@ let trace_cmd =
       if diff then Conf.with_on_desync conf Conf.Resync else conf
     in
     let conf = validated conf in
-    let r = Interp.run ~world conf (build ()) in
+    let r = Interp.run ~world conf program in
     let json =
       T11r_obs.Chrome.export ~thread_names:r.Interp.thread_names
         ~events:r.Interp.events ()
@@ -923,7 +939,11 @@ let trace_cmd =
           Perfetto-loadable Chrome trace")
     Term.(
       const run $ workload_arg
-      $ common_term [ Strategy; Seed; Env_seed ]
+      $ common_term [ Seed; Env_seed ]
+      $ optional_strategy_arg
+          "Scheduling strategy of a live run (default random). With \
+           $(b,--demo) a cross-check only: the replay runs under the \
+           strategy recorded in the demo's META."
       $ demo_opt $ diff_flag $ out_arg $ capacity_arg)
 
 (* predict: offline predictive race analysis — sound HB relaxation plus

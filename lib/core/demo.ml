@@ -416,11 +416,14 @@ let parse_asyncs numbered =
     (fun (ln, l) -> parse_async_line ~file:"ASYNC" ~line:ln l)
     numbered
 
+let require_meta ~dir =
+  if not (Sys.file_exists (Filename.concat dir "META")) then
+    raise
+      (Corrupt { c_file = "META"; c_line = 0; c_reason = "no META in " ^ dir })
+
 let load ~dir =
   try
-    if not (Sys.file_exists (Filename.concat dir "META")) then
-      raise
-        (Corrupt { c_file = "META"; c_line = 0; c_reason = "no META in " ^ dir });
+    require_meta ~dir;
     verify_manifest ~dir;
     let meta = parse_meta (read_framed ~dir "META") in
     let queue_lines = read_framed ~dir "QUEUE" in
@@ -449,6 +452,12 @@ let load ~dir =
 
 let load_result ~dir =
   match load ~dir with t -> Ok t | exception Corrupt c -> Error c
+
+let load_meta ~dir =
+  require_meta ~dir;
+  try parse_meta (read_framed ~dir "META")
+  with Invalid_argument m | Failure m | Sys_error m ->
+    raise (Corrupt { c_file = "META"; c_line = 0; c_reason = m })
 
 let read_aux ~dir name = List.map snd (read_framed ~dir name)
 

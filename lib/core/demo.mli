@@ -95,6 +95,11 @@ val load : dir:string -> t
 val load_result : dir:string -> (t, corruption) result
 (** Exception-free {!load}. *)
 
+val load_meta : dir:string -> meta
+(** Read and verify META alone (its trailer, not the MANIFEST) — what a
+    replay needs to pick its strategy before the full {!load}.
+    @raise Corrupt if META is missing, damaged or malformed. *)
+
 val read_aux : dir:string -> string -> string list
 (** Payload lines of an auxiliary framed file in the demo dir (e.g.
     ["TRACE"]), trailer verified and stripped; [[]] if absent.

@@ -130,3 +130,37 @@ let spec_of ?base_conf w =
   Campaign.spec_io ~label:w.w_name
     ~base_conf:(Conf.with_policy base w.w_policy)
     (fun _i world -> w.w_instance world)
+
+(* A demo replays under the strategy it was recorded with: META names
+   it, and the demo files only make sense under that strategy (QUEUE
+   is the queue schedule; the other strategies' schedules live in the
+   seeds). An explicit strategy is a cross-check, compared by value so
+   spellings of one strategy agree. *)
+let replay_setup w ~demo ~env_seed ?strategy () =
+  let meta = Tsan11rec.Demo.load_meta ~dir:demo in
+  let recorded = meta.Tsan11rec.Demo.strategy in
+  match Conf.strategy_of_name recorded with
+  | None -> Error (Printf.sprintf "demo strategy %S cannot be replayed" recorded)
+  | Some s -> (
+      match strategy with
+      | Some r when Conf.strategy_name r <> Conf.strategy_name s ->
+          Error
+            (Printf.sprintf "demo was recorded under strategy %s, not %s"
+               recorded (Conf.strategy_name r))
+      | _ -> (
+          (* No seeds: a replay always runs under META's. *)
+          let conf =
+            Conf.with_policy
+              (Conf.tsan11rec ~strategy:s ~mode:(Conf.Replay demo) ())
+              w.w_policy
+          in
+          match Conf.validate conf with
+          | Error msg -> Error ("invalid configuration: " ^ msg)
+          | Ok conf ->
+              let world = World.create ~seed:(Int64.of_int env_seed) () in
+              let program = w.w_instance world () in
+              if program.T11r_vm.Api.pname <> meta.Tsan11rec.Demo.app then
+                Error
+                  (Printf.sprintf "demo records app %S, not workload %s"
+                     meta.Tsan11rec.Demo.app w.w_name)
+              else Ok (conf, world, program)))

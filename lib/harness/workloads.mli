@@ -31,3 +31,21 @@ val spec_of : ?base_conf:Tsan11rec.Conf.t -> t -> Campaign.spec
     the workload's policy to [base_conf] (default the random-strategy
     tsan11rec configuration) and threads setup handles through the
     per-run instance closure. *)
+
+val replay_setup :
+  t ->
+  demo:string ->
+  env_seed:int ->
+  ?strategy:Tsan11rec.Conf.strategy ->
+  unit ->
+  ( Tsan11rec.Conf.t * T11r_env.World.t * T11r_vm.Api.program,
+    string )
+  result
+(** What a replay of [demo] needs: the replay configuration under the
+    strategy recorded in the demo's META, a fresh fault-free world
+    seeded [env_seed] and the workload's program. [strategy] (an
+    explicit [-s]) is only a cross-check: [Error] unless it is the
+    recorded strategy. Also [Error] when META's app is not this
+    workload's program, or its strategy cannot be replayed (guided
+    recordings).
+    @raise Tsan11rec.Demo.Corrupt if META is missing or damaged. *)

@@ -95,10 +95,6 @@ let kind_of_string = function
   | "pipe" -> Some Pipe
   | _ -> None
 
-let pp_request fmt r =
-  Format.fprintf fmt "%s(fd=%d, len=%d, arg=%d)" (kind_to_string r.kind) r.fd
-    r.len r.arg
-
 let pp_result fmt r =
   Format.fprintf fmt "ret=%d errno=%d |data|=%d elapsed=%d" r.ret r.errno
     (Bytes.length r.data) r.elapsed

@@ -71,7 +71,6 @@ val footprint_id : request -> int
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
-val pp_request : Format.formatter -> request -> unit
 val pp_result : Format.formatter -> result -> unit
 val equal_result : result -> result -> bool
 

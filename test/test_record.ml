@@ -389,15 +389,91 @@ let test_wrong_syscall_data_soft_desyncs () =
      data is invisible, which is exactly the sparse philosophy. *)
   check_completed r
 
-let test_wrong_strategy_misparse () =
+(* ------------------------------------------------------------------ *)
+(* Replay fidelity from the demo alone                                  *)
+
+module Workloads = T11r_harness.Workloads
+
+let fidelity_strategies =
+  Conf.[ Random; Queue; Pct 3; Delay_bounded 3; Preempt_bounded 2 ]
+
+(* Workloads that are not replayable by design, with the reason. *)
+let not_replayable =
+  [
+    ( "sqlite-like",
+      "control flow depends on allocator addresses, which a sparse demo \
+       does not capture (§5.5): replay desyncs under every strategy" );
+  ]
+
+(* Busy-waiting workloads livelock under some bounded strategies until
+   the tick limit; a low cap (applied identically to both sides) keeps
+   the matrix fast while still replaying every run's first ticks. *)
+let fidelity_max_ticks = 20_000
+
+(* Record [w] under [strategy] into [dir] with env seed 3. *)
+let record_workload (w : Workloads.t) strategy dir =
+  let conf =
+    Conf.with_seeds
+      (Conf.with_policy
+         (Conf.tsan11rec ~strategy ~mode:(Conf.Record dir) ())
+         w.w_policy)
+      1L 7920L
+  in
+  let world = World.create ~seed:3L () in
+  Interp.run ~world
+    (Conf.with_max_ticks conf fidelity_max_ticks)
+    (w.w_instance world ())
+
+let check_faithful label (r0 : Interp.result) (r1 : Interp.result) =
+  let outcome r = Format.asprintf "%a" Interp.pp_outcome r.Interp.outcome in
+  let l what = label ^ " " ^ what in
+  check Alcotest.string (l "outcome") (outcome r0) (outcome r1);
+  check Alcotest.int (l "ticks") r0.ticks r1.ticks;
+  check Alcotest.bool (l "trace") true (r0.trace = r1.trace);
+  check Alcotest.string (l "output") r0.output r1.output;
+  check Alcotest.int (l "races") r0.race_count r1.race_count;
+  check Alcotest.bool (l "soft desync") false r1.soft_desync;
+  check Alcotest.int (l "desyncs") 0 r1.desync_count
+
+(* Every registry workload x strategy: record with env seed 3, replay
+   against env seed 11 through [Workloads.replay_setup] — the path the
+   [replay] command takes — with no strategy given, so the schedule
+   must come from the demo's META alone. *)
+let test_registry_replay_fidelity () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      if not (List.mem_assoc w.w_name not_replayable) then
+        List.iter
+          (fun strategy ->
+            let label = w.w_name ^ "/" ^ Conf.strategy_name strategy in
+            let dir = tmpdir () in
+            Fun.protect
+              ~finally:(fun () -> T11r_util.Tmp.rm_rf dir)
+              (fun () ->
+                let r0 = record_workload w strategy dir in
+                match Workloads.replay_setup w ~demo:dir ~env_seed:11 () with
+                | Error msg -> Alcotest.failf "%s: %s" label msg
+                | Ok (conf, world, program) ->
+                    let conf = Conf.with_max_ticks conf fidelity_max_ticks in
+                    check_faithful label r0 (Interp.run ~world conf program)))
+          fidelity_strategies)
+    Workloads.all
+
+let test_replay_strategy_conflict () =
   let dir = tmpdir () in
-  let _prog = record_mixed dir in
-  (* Replay the queue demo under the random strategy: the QUEUE file is
-     ignored, so the schedule comes from the seeds; it still completes
-     (the seeds encode a valid random schedule), demonstrating why META
-     records the strategy. *)
-  let d = Demo.load ~dir in
-  check Alcotest.string "meta strategy" "queue" d.Demo.meta.strategy
+  ignore
+    (record_workload (Option.get (Workloads.find "fig1")) (Conf.Pct 3) dir);
+  let accepted ?strategy name =
+    let w = Option.get (Workloads.find name) in
+    Result.is_ok (Workloads.replay_setup w ~demo:dir ~env_seed:11 ?strategy ())
+  in
+  (* META decides; an explicit strategy is accepted only when it is the
+     recorded one, and the workload must be the recorded app. *)
+  check Alcotest.bool "no strategy" true (accepted "fig1");
+  check Alcotest.bool "same strategy" true (accepted ~strategy:(Pct 3) "fig1");
+  check Alcotest.bool "other strategy" false (accepted ~strategy:(Pct 2) "fig1");
+  check Alcotest.bool "other workload" false (accepted "mcs-lock");
+  T11r_util.Tmp.rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* Debug TRACE file and divergence diagnosis *)
@@ -942,7 +1018,6 @@ let () =
           Alcotest.test_case "corrupted QUEUE" `Quick test_corrupted_queue_hard_desyncs;
           Alcotest.test_case "unused syscall data" `Quick
             test_wrong_syscall_data_soft_desyncs;
-          Alcotest.test_case "meta strategy" `Quick test_wrong_strategy_misparse;
           Alcotest.test_case "format version" `Quick test_format_version_rejected;
           qtest fuzz_demo_loader;
           qtest fuzz_demo_hardening;
@@ -973,6 +1048,13 @@ let () =
           Alcotest.test_case "resync htop-like" `Quick test_resync_htop_like;
           Alcotest.test_case "abort is default" `Quick
             test_abort_unchanged_by_default;
+        ] );
+      ( "fidelity",
+        [
+          Alcotest.test_case "registry x strategies, META only"
+            `Quick test_registry_replay_fidelity;
+          Alcotest.test_case "conflicting strategy rejected" `Quick
+            test_replay_strategy_conflict;
         ] );
       ( "debug-trace",
         [
