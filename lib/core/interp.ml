@@ -69,7 +69,7 @@ type result = {
   output : string;
   soft_desync : bool;
   demo : Demo.t option;
-  trace : (int * int * string) list;
+  trace : (int * string) array;
   thread_names : (int * string) list;
   rng_draws : int;
   desync_count : int;
@@ -155,9 +155,12 @@ type ctx = {
   mutable tick : int;
   deadline_at : float;  (* Unix.gettimeofday () cutoff; infinity = none *)
   mutable cur : thread option;
-  mutable trace : (int * int * string) list;  (* reversed *)
+  (* The schedule log: entry [i] is the (tid, op label) of the critical
+     section executed at tick [i]. Every schedule view (the result's
+     trace, QUEUE, TRACE, the Diagnose trail) is derived from it. *)
+  mutable log : (int * string) array;
+  mutable log_n : int;  (* entries written by [note_cs] *)
   (* recording *)
-  mutable rec_sched : (int * int) list;  (* (tick, tid), reversed *)
   mutable rec_signals : Demo.signal_entry list;  (* reversed *)
   mutable rec_syscalls : Demo.syscall_entry list;  (* reversed *)
   mutable rec_asyncs : Demo.async_entry list;  (* reversed *)
@@ -258,11 +261,11 @@ let diverge ctx ~tid ~site ~expected ~actual =
       hard ctx (Printf.sprintf "%s expects %s, got %s" site expected actual)
   | Conf.Diagnose ->
       let trail =
-        let rec take n = function
-          | x :: xs when n > 0 -> x :: take (n - 1) xs
-          | _ -> []
-        in
-        List.rev (take 8 ctx.trace)
+        let k = min 8 ctx.log_n in
+        List.init k (fun j ->
+            let i = ctx.log_n - k + j in
+            let tid, label = ctx.log.(i) in
+            (i, tid, label))
       in
       raise
         (Diagnosed
@@ -1047,8 +1050,13 @@ let rw_unlock ctx t (l : Api.rwlock) ~at =
 (* Critical sections                                                    *)
 
 let note_cs ctx t label fin =
-  ctx.trace <- (ctx.tick, t.tid, label) :: ctx.trace;
-  if is_record ctx then ctx.rec_sched <- (ctx.tick, t.tid) :: ctx.rec_sched;
+  if ctx.log_n = Array.length ctx.log then begin
+    let bigger = Array.make (max 64 (2 * ctx.log_n)) (-1, "") in
+    Array.blit ctx.log 0 bigger 0 ctx.log_n;
+    ctx.log <- bigger
+  end;
+  ctx.log.(ctx.log_n) <- (t.tid, label);
+  ctx.log_n <- ctx.log_n + 1;
   Trace.emit ctx.obs Trace.Op ~tick:ctx.tick ~tid:t.tid ~label
     ~ts:ctx.last_cs_start
     ~dur:(max 0 (fin - ctx.last_cs_start));
@@ -1520,35 +1528,24 @@ let exec_cs ctx t =
 (* ------------------------------------------------------------------ *)
 (* Demo assembly                                                        *)
 
+(* One backward pass over the schedule log: [next.(tid)] is the tick
+   at which [tid] is scheduled next, so each entry's successor (the
+   QUEUE's next tick for every CS exit, -1 for a thread's last) is read
+   before the entry itself becomes it. What is left in [next] at tick 0
+   is every thread's first tick. *)
 let build_queue_data ctx =
-  let sched = List.rev ctx.rec_sched in
-  let per_thread : (int, int Queue.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (tick, tid) ->
-      let q =
-        match Hashtbl.find_opt per_thread tid with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.replace per_thread tid q;
-            q
-      in
-      Queue.add tick q)
-    sched;
-  let first_ticks =
-    Hashtbl.fold (fun tid q acc -> (tid, Queue.peek q) :: acc) per_thread []
-    |> List.sort compare
-  in
-  (* For each CS exit in order, the exiting thread's next tick. *)
-  let next_ticks =
-    List.map
-      (fun (_tick, tid) ->
-        let q = Hashtbl.find per_thread tid in
-        ignore (Queue.pop q);
-        match Queue.peek_opt q with Some next -> next | None -> -1)
-      sched
-  in
-  { Demo.first_ticks; next_ticks }
+  let next = Array.make ctx.next_tid (-1) in
+  let next_ticks = ref [] in
+  for i = ctx.log_n - 1 downto 0 do
+    let tid = fst ctx.log.(i) in
+    next_ticks := next.(tid) :: !next_ticks;
+    next.(tid) <- i
+  done;
+  let first_ticks = ref [] in
+  for tid = ctx.next_tid - 1 downto 0 do
+    if next.(tid) >= 0 then first_ticks := (tid, next.(tid)) :: !first_ticks
+  done;
+  { Demo.first_ticks = !first_ticks; next_ticks = !next_ticks }
 
 let build_demo ctx app_name =
   let s1, s2 = Prng.seeds ctx.rng in
@@ -1582,8 +1579,8 @@ let build_demo ctx app_name =
 
 (* A domain-local bundle of every allocation-heavy structure [make_ctx]
    needs, recycled across runs: the weak memory, the two race
-   detectors, the PRNG, the observability buffers, the object tables
-   and the thread vector (whose thread records — including their
+   detectors, the PRNG, the observability buffers, the object tables,
+   the schedule log and the thread vector (whose thread records — including their
    vector clocks and fiber bookkeeping — are re-initialised in place by
    [new_thread]). OWNERSHIP: an arena belongs to exactly one domain and
    at most one live run at a time; results escape a run by value
@@ -1604,6 +1601,7 @@ type arena = {
   a_rep_queue_next : (int, int) Hashtbl.t;
   mutable a_tvec : thread option array;
   mutable a_ready : thread option array;
+  mutable a_log : (int * string) array;
 }
 
 let create_arena () =
@@ -1622,6 +1620,7 @@ let create_arena () =
     a_rep_queue_next = Hashtbl.create 8;
     a_tvec = Array.make 8 None;
     a_ready = Array.make 8 None;
+    a_log = [||];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1740,8 +1739,8 @@ let make_ctx ?arena conf world replay_demo =
            Unix.gettimeofday () +. conf.Conf.deadline_s
          else infinity);
       cur = None;
-      trace = [];
-      rec_sched = [];
+      log = (match arena with None -> [||] | Some a -> a.a_log);
+      log_n = 0;
       rec_signals = [];
       rec_syscalls = [];
       rec_asyncs = [];
@@ -1879,7 +1878,7 @@ let result_of_outcome outcome =
     output = "";
     soft_desync = false;
     demo = None;
-    trace = [];
+    trace = [||];
     thread_names = [];
     trace_divergence = None;
     rng_draws = 0;
@@ -1932,6 +1931,12 @@ let to_predict_input (r : result) =
 (* A corrupt or missing demo is a usability (or durability) error, not
    a crash: surface it as its own outcome with an empty result so the
    CLI can map it to a dedicated exit code. *)
+(* The TRACE file's line for log entry [i]: "tick tid label". The
+   recorder writes these and the replay diff compares against them. *)
+let trace_line ctx i =
+  let tid, label = ctx.log.(i) in
+  Printf.sprintf "%d %d %s" i tid label
+
 let corrupt_demo_result c =
   result_of_outcome (Corrupt_demo (Demo.corruption_to_string c))
 
@@ -1970,13 +1975,7 @@ let run ?world ?arena conf (program : Api.program) =
           let d = build_demo ctx program.Api.pname in
           let extra =
             if conf.Conf.debug_trace then
-              [
-                ( "TRACE",
-                  List.rev_map
-                    (fun (tick, tid, label) ->
-                      Printf.sprintf "%d %d %s" tick tid label)
-                    ctx.trace );
-              ]
+              [ ("TRACE", List.init ctx.log_n (trace_line ctx)) ]
             else []
           in
           (* A recording made under decision capture carries the full
@@ -2016,26 +2015,22 @@ let run ?world ?arena conf (program : Api.program) =
                        d.Demo.meta.Demo.ticks ctx.tick)
               | _ -> None)
           | recorded ->
-              let mine =
-                List.rev_map
-                  (fun (tick, tid, label) ->
-                    Printf.sprintf "%d %d %s" tick tid label)
-                  ctx.trace
-              in
-              let rec first_diff i a b =
-                match (a, b) with
-                | [], [] -> None
-                | x :: _, [] ->
+              let rec first_diff i = function
+                | [] when i >= ctx.log_n -> None
+                | [] ->
+                    Some
+                      (Printf.sprintf "tick %d: recording ended, replay %S" i
+                         (trace_line ctx i))
+                | x :: _ when i >= ctx.log_n ->
                     Some (Printf.sprintf "tick %d: recorded %S, replay ended" i x)
-                | [], y :: _ ->
-                    Some (Printf.sprintf "tick %d: recording ended, replay %S" i y)
-                | x :: xs, y :: ys ->
-                    if x = y then first_diff (i + 1) xs ys
+                | x :: xs ->
+                    let y = trace_line ctx i in
+                    if x = y then first_diff (i + 1) xs
                     else
                       Some
                         (Printf.sprintf "tick %d: recorded %S, replayed %S" i x y)
               in
-              first_diff 0 recorded mine)
+              first_diff 0 recorded)
       | _ -> None
     in
     let soft_desync =
@@ -2066,7 +2061,7 @@ let run ?world ?arena conf (program : Api.program) =
       output = World.output world;
       soft_desync;
       demo;
-      trace = List.rev ctx.trace;
+      trace = Array.sub ctx.log 0 ctx.log_n;
       thread_names =
         List.map (fun t -> (t.tid, t.tname)) (threads_in_order ctx);
       trace_divergence;
@@ -2105,7 +2100,8 @@ let run ?world ?arena conf (program : Api.program) =
     (match arena with
     | Some a ->
         a.a_tvec <- ctx.tvec;
-        a.a_ready <- ctx.ready_scratch
+        a.a_ready <- ctx.ready_scratch;
+        a.a_log <- ctx.log
     | None -> ());
     finish outcome
   in

@@ -36,8 +36,9 @@ type outcome =
 
 (** One replay divergence: at op (tick) [div_tick], [div_site] (QUEUE,
     SYSCALL, SIGNAL or ASYNC) expected [div_expected] but the run
-    produced [div_actual]. [div_trail] holds the last trace events
-    before the divergence (populated under [Conf.Diagnose]). *)
+    produced [div_actual]. [div_trail] holds the last (at most 8)
+    schedule-log entries before the divergence as (tick, tid, label),
+    a slice of the run's [trace] (populated under [Conf.Diagnose]). *)
 type divergence = {
   div_tick : int;
   div_tid : int;
@@ -117,9 +118,11 @@ type result = {
   output : string;  (** observable output (fd 1) *)
   soft_desync : bool;  (** replay only: output diverged from recording *)
   demo : Demo.t option;  (** record mode: the captured demo *)
-  trace : (int * int * string) list;
-      (** (tick, tid, op label) per critical section, in order —
-          the ground truth for replay-fidelity tests *)
+  trace : (int * string) array;
+      (** The run's schedule log: entry [i] is the (tid, op label) of
+          the critical section executed at tick [i]. It is the ground
+          truth for replay-fidelity tests, and the demo's QUEUE and
+          TRACE files and the Diagnose trail are all derived from it *)
   thread_names : (int * string) list;
       (** tid -> program-supplied thread name, creation order *)
   rng_draws : int;  (** scheduler-PRNG draws (replay must match) *)
@@ -156,7 +159,7 @@ type result = {
 type arena
 (** A domain-local bundle of the allocation-heavy structures a run
     needs (weak memory, detectors, PRNG, object tables, thread vector,
-    observability buffers), recycled across runs: passing the same
+    schedule log, observability buffers), recycled across runs: passing the same
     arena to consecutive {!run}s reuses all of it in place, so a short
     run allocates close to nothing beyond the program's own state.
 

@@ -58,9 +58,6 @@ type peer = {
           goes quiet. *)
 }
 
-val silent_peer : peer
-(** Never sends anything. *)
-
 val expect_connection : t -> port:int -> at:int -> peer -> unit
 (** Register a remote client that connects to [port] at time [at]. *)
 
@@ -116,9 +113,6 @@ val output : t -> string
 val gpu_frames : t -> int
 (** Number of frame-flip ioctls the driver has serviced (lets game
     workloads compute fps). *)
-
-val net_events : t -> int
-(** Total network messages delivered so far (diagnostics). *)
 
 (** {1 Well-known fds} *)
 

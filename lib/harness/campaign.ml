@@ -117,9 +117,6 @@ type report = {
   supervision : supervision;
 }
 
-let schedule_key (r : Interp.result) =
-  List.map (fun (_, tid, label) -> (tid, label)) r.Interp.trace
-
 (* Aggregation is a sequential fold over the results in run-index
    order — never over arrival order — so every derived number,
    histogram order and float rounding is identical whatever [jobs]
@@ -137,7 +134,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
       let key = Outcome.key r.Interp.outcome in
       Hashtbl.replace outcomes key
         (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes key));
-      Hashtbl.replace schedules (schedule_key r) ();
+      Hashtbl.replace schedules r.Interp.trace ();
       List.iter
         (fun race ->
           (* Key on the canonical orientation: the same unordered pair
@@ -232,7 +229,7 @@ let aggregate ~label ~n ~first ~jobs ~wall_s ?(supervision = no_supervision)
    resumed campaign's digest is bit-identical to an uninterrupted
    one's. Bump [journal_schema] whenever Interp.result (or anything it
    contains) changes layout. *)
-let journal_schema = 3
+let journal_schema = 4
 
 type journal_header = {
   jh_schema : int;

@@ -103,7 +103,8 @@ type report = {
   completed : int;
   racy_runs : int;
   distinct_schedules : int;
-      (** unique critical-section traces across the campaign *)
+      (** distinct [Interp.result.trace] schedule logs across the
+          campaign *)
   outcomes : (string * int) list;  (** outcome histogram, sorted by key *)
   sightings : sighting list;  (** distinct races, most-sighted first *)
   crashes : (int * string) list;  (** (run index, message), in run order *)
@@ -187,9 +188,5 @@ val digest : report -> string
 (** Hex digest of everything {!equal} compares — a compact fingerprint
     for cross-build regression fixtures: two reports are [equal] iff
     their digests match (up to hash collision). *)
-
-val schedule_key : Tsan11rec.Interp.result -> (int * string) list
-(** The (tid, op) projection of a run's trace used for
-    distinct-schedule counting. *)
 
 val pp : Format.formatter -> report -> unit

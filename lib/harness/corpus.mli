@@ -24,7 +24,6 @@ type strategy_desc =
           run. *)
 
 val strategy_of_desc : strategy_desc -> Conf.strategy
-val desc_name : strategy_desc -> string
 
 val portfolio : strategy_desc array
 (** The bootstrap rotation and strategy-switch pool: random plus the
@@ -51,7 +50,6 @@ val entries : t -> entry list
 val total : t -> Coverage.summary
 (** Union of every admitted entry's fingerprint. *)
 
-val total_bits : t -> int
 val energy_spent : t -> int
 
 val consider :
@@ -77,8 +75,6 @@ type candidate = {
   c_seed1 : int64;
   c_seed2 : int64;
 }
-
-val candidate_of_entry : entry -> candidate
 
 val mutate : entry -> T11r_util.Prng.t -> candidate
 (** Breed one candidate from a parent: SplitMix64-backed seed

@@ -68,9 +68,6 @@ val digest : report -> string
 
 val pp : Format.formatter -> report -> unit
 
-val corpus_journal_path : string -> string
-(** The snapshot journal inside a corpus directory. *)
-
 val load_corpus : string -> Corpus.t option
 (** The corpus of the newest intact snapshot in a corpus directory —
     [None] when the directory has no readable snapshots. Read-only:

@@ -45,9 +45,6 @@ val run_many : ?jobs:int -> spec -> n:int -> agg
     Aggregates are identical for every [jobs].
     @deprecated use {!Campaign.run}. *)
 
-val of_report : Campaign.report -> agg
-(** Project a campaign report onto the legacy aggregate. *)
-
 val throughput : agg -> work_items:int -> float
 (** work_items / mean time, in items per second — Table 2's metric. *)
 

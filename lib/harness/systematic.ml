@@ -20,10 +20,12 @@ type result = {
    (prefix, observed counts, result-without-demo). Resume keys the
    cache on the prefix itself, so the worker count may differ between
    the original run and the resume — each prefix's result is a pure
-   function of (prefix, seeds, world_seed). Schema 2: results carry
-   the per-decision DPOR metadata ({!Interp.decision}), and entries
-   are written in analysis order (identical at every [jobs]). *)
-let journal_schema = 3
+   function of (prefix, seeds, world_seed). Results carry the
+   per-decision DPOR metadata ({!Interp.decision}), and entries are
+   written in analysis order (identical at every [jobs]). Bump
+   [journal_schema] together with Campaign's whenever Interp.result
+   changes layout: both journals marshal it. *)
+let journal_schema = 4
 
 type journal_header = {
   jh_schema : int;
@@ -183,15 +185,20 @@ let explore ?(max_runs = 2000) ?(jobs = 1) ?(dpor = true) ?(deadline_s = 0.)
                     : journal_header)
                 with
                 | jh ->
+                    if jh.jh_schema <> journal_schema then
+                      invalid_arg
+                        (Printf.sprintf
+                           "Systematic.explore: journal %s has schema %d, \
+                            this build writes %d"
+                           path jh.jh_schema journal_schema);
                     if
-                      jh.jh_schema <> journal_schema
-                      || (jh.jh_world_seed, jh.jh_seed1, jh.jh_seed2)
-                         <> (world_seed, s1, s2)
+                      (jh.jh_world_seed, jh.jh_seed1, jh.jh_seed2)
+                      <> (world_seed, s1, s2)
                     then
                       invalid_arg
                         (Printf.sprintf
                            "Systematic.explore: journal %s was written with \
-                            different seeds or schema"
+                            different seeds"
                            path)
                 | exception _ ->
                     invalid_arg

@@ -41,9 +41,6 @@ val bool : t -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. @raise Invalid_argument on [||]. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform choice from a non-empty list. *)
-
 val copy : t -> t
 (** Independent copy with the same state and draw count. *)
 

@@ -132,6 +132,37 @@ let test_observer_order_and_count () =
     (List.rev !seen);
   Alcotest.(check int) "n" 12 report.Campaign.n
 
+(* [distinct_schedules] counts distinct schedule logs: it must equal the
+   number of distinct [trace] values an observer sees, at any [jobs]. *)
+let test_distinct_schedules_counts_traces () =
+  List.iter
+    (fun (name, (e : T11r_litmus.Registry.entry)) ->
+      let spec =
+        Campaign.spec ~label:name
+          ~base_conf:(Conf.tsan11rec ~strategy:Conf.Random ())
+          e.build
+      in
+      List.iter
+        (fun jobs ->
+          let traces = ref [] in
+          let obs =
+            Campaign.observer (fun _ r ->
+                traces := r.Tsan11rec.Interp.trace :: !traces)
+          in
+          let report = Campaign.run spec ~n:150 ~jobs [ obs ] in
+          let observed = List.length (List.sort_uniq compare !traces) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s -j%d: several schedules" name jobs)
+            true (observed > 1);
+          Alcotest.(check int)
+            (Printf.sprintf "%s -j%d: distinct_schedules" name jobs)
+            observed report.Campaign.distinct_schedules)
+        [ 1; 4 ])
+    [
+      ("fig1", T11r_litmus.Registry.fig1);
+      ("mcs-lock", Option.get (T11r_litmus.Registry.find "mcs-lock"));
+    ]
+
 let test_runner_compat_across_jobs () =
   let a1 = Runner.run_many ~jobs:1 fig1_spec ~n:20 in
   let a3 = Runner.run_many ~jobs:3 fig1_spec ~n:20 in
@@ -320,6 +351,82 @@ let test_resume_rejects_mismatched_campaign () =
   | exception Invalid_argument _ -> ());
   Sys.remove journal
 
+(* Journal headers as Campaign and Systematic marshal them; Marshal is
+   structural, so these mirrors read and write the same bytes. *)
+type campaign_header = {
+  c_schema : int;
+  c_label : string;
+  c_n : int;
+  c_first : int;
+}
+
+type systematic_header = {
+  s_schema : int;
+  s_world_seed : int64;
+  s_seed1 : int64;
+  s_seed2 : int64;
+}
+
+(* Rewrite [path]'s header entry (of [kind]) to carry the next schema
+   number; returns (schema written by this build, rewritten schema). *)
+let bump_schema path kind get set =
+  let entries, _ = T11r_util.Journal.read path in
+  let cur = ref (-1) in
+  let entries =
+    List.map
+      (fun (e : T11r_util.Journal.entry) ->
+        if e.kind <> kind then e
+        else begin
+          let h = Marshal.from_string e.payload 0 in
+          cur := get h;
+          { e with payload = Marshal.to_string (set h (get h + 1)) [] }
+        end)
+      entries
+  in
+  Sys.remove path;
+  let w = T11r_util.Journal.create path in
+  List.iter (T11r_util.Journal.append w) entries;
+  T11r_util.Journal.close w;
+  (!cur, !cur + 1)
+
+let check_schema_refused what ~cur ~other f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected the journal to be refused" what
+  | exception Invalid_argument msg ->
+      let has sub =
+        let n = String.length sub and h = String.length msg in
+        let rec go i = i + n <= h && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names both schemas: %s" what msg)
+        true
+        (has (Printf.sprintf "schema %d" other)
+        && has (Printf.sprintf "writes %d" cur))
+
+let test_other_schema_refused () =
+  let journal = jpath () in
+  ignore (Campaign.run fig1_spec ~n:3 ~journal []);
+  let cur, other =
+    bump_schema journal "campaign"
+      (fun h -> h.c_schema)
+      (fun h s -> { h with c_schema = s })
+  in
+  check_schema_refused "campaign" ~cur ~other (fun () ->
+      Campaign.run fig1_spec ~n:3 ~journal []);
+  Sys.remove journal;
+  let journal = jpath () in
+  let build = T11r_litmus.Registry.fig1.build in
+  ignore (T11r_harness.Systematic.explore ~max_runs:3 ~journal ~build ());
+  let cur, other =
+    bump_schema journal "systematic"
+      (fun h -> h.s_schema)
+      (fun h s -> { h with s_schema = s })
+  in
+  check_schema_refused "systematic" ~cur ~other (fun () ->
+      T11r_harness.Systematic.explore ~max_runs:3 ~journal ~build ());
+  Sys.remove journal
+
 (* The real thing: SIGKILL a campaign mid-flight, then resume from its
    journal and reproduce the uninterrupted digest bit for bit. *)
 let test_sigkill_then_resume_digest () =
@@ -494,6 +601,8 @@ let () =
           Alcotest.test_case "httpd+faults: -j4 = -j1" `Quick
             test_httpd_faults_deterministic_across_jobs;
           Alcotest.test_case "observer order" `Quick test_observer_order_and_count;
+          Alcotest.test_case "distinct schedules = traces" `Quick
+            test_distinct_schedules_counts_traces;
           Alcotest.test_case "run_many jobs compat" `Quick
             test_runner_compat_across_jobs;
           Alcotest.test_case "faultsweep rows jobs-stable" `Quick
@@ -522,6 +631,8 @@ let () =
             test_resume_tolerates_torn_tail;
           Alcotest.test_case "header mismatch rejected" `Quick
             test_resume_rejects_mismatched_campaign;
+          Alcotest.test_case "other schema refused" `Quick
+            test_other_schema_refused;
           Alcotest.test_case "SIGKILL then resume = clean digest" `Quick
             test_sigkill_then_resume_digest;
         ] );

@@ -654,10 +654,10 @@ let two_spinners () =
 let context_switches trace =
   let rec go prev acc = function
     | [] -> acc
-    | (_, tid, _) :: rest ->
+    | (tid, _) :: rest ->
         go tid (if tid <> prev && prev >= 0 then acc + 1 else acc) rest
   in
-  go (-1) 0 trace
+  go (-1) 0 (Array.to_list trace)
 
 let test_preempt_bounded_zero_is_nonpreemptive () =
   (* With budget 0, a thread keeps running until it blocks or finishes:
@@ -696,7 +696,7 @@ let test_delay_bounded_zero_is_queue () =
   let sched conf =
     let r = run ~conf:(seeded_conf ~conf 3L 4L) (two_spinners ()) in
     check_completed r;
-    List.map (fun (tick, tid, _) -> (tick, tid)) r.trace
+    Array.map fst r.trace
   in
   check Alcotest.bool "db:0 == queue schedule" true
     (sched (Conf.tsan11rec ~strategy:(Conf.Delay_bounded 0) ())

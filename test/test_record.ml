@@ -622,9 +622,9 @@ let test_failed_syscall_floats_to_tick () =
       d.Demo.syscalls
   in
   check Alcotest.bool "anchored to a trace event" true
-    (List.exists
-       (fun (tick, tid, _) -> tick = e.Demo.sc_tick && tid = e.Demo.sc_tid)
-       r1.trace)
+    (e.Demo.sc_tick >= 0
+    && e.Demo.sc_tick < Array.length r1.trace
+    && fst r1.trace.(e.Demo.sc_tick) = e.Demo.sc_tid)
 
 (* ------------------------------------------------------------------ *)
 (* Desync recovery modes *)
@@ -674,6 +674,29 @@ let test_diagnose_reports_divergence () =
       in
       check Alcotest.bool "report names the op" true (has "op ");
       check Alcotest.bool "report names the thread" true (has "thread ")
+  | ds -> Alcotest.failf "expected exactly 1 divergence, got %d" (List.length ds)
+
+(* The Diagnose trail is a slice of the schedule log: the last (at most
+   8) entries of the replay's trace, each tagged with its log index. *)
+let test_diagnose_trail_is_log_tail () =
+  let dir = tmpdir () in
+  let prog = record_mixed dir in
+  corrupt_queue dir;
+  let r = replay_dir_mode dir Conf.Diagnose prog in
+  match r.Interp.divergences with
+  | [ d ] ->
+      let n = Array.length r.Interp.trace in
+      let k = min 8 n in
+      check Alcotest.bool "trail is not empty" true (k > 0);
+      let tail =
+        List.init k (fun j ->
+            let i = n - k + j in
+            let tid, label = r.Interp.trace.(i) in
+            (i, tid, label))
+      in
+      check
+        Alcotest.(list (triple int int string))
+        "trail = last trace entries" tail d.Interp.div_trail
   | ds -> Alcotest.failf "expected exactly 1 divergence, got %d" (List.length ds)
 
 let test_resync_continues_and_counts () =
@@ -1042,6 +1065,8 @@ let () =
         [
           Alcotest.test_case "diagnose reports" `Quick
             test_diagnose_reports_divergence;
+          Alcotest.test_case "diagnose trail = log tail" `Quick
+            test_diagnose_trail_is_log_tail;
           Alcotest.test_case "resync continues" `Quick
             test_resync_continues_and_counts;
           Alcotest.test_case "resync sqlite-like" `Quick test_resync_sqlite_like;
